@@ -353,28 +353,21 @@ func BenchmarkLatticeParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexedSearch is the PR 4 rank-space search series: the same
-// GLOBALBOUNDS/PROPBOUNDS workloads run on the two match-set engines, at
-// 1/2/4/8 workers.
+// BenchmarkIndexedSearch is the rank-space search series: the same
+// GLOBALBOUNDS/PROPBOUNDS workloads at 1/2/4/8 workers, with the index in
+// two states:
 //
-//   - lists: the materialized row-list engine (pre-PR behavior) — every
-//     full build scans the dataset to seed root match lists and
-//     partitions two lists per node below.
-//   - index-cold: the rank-space engine building its posting-list index
-//     inside the search (a fresh Input nobody indexed before).
-//   - index-warm: the rank-space engine over a pre-built index (the
+//   - index-cold: the search builds its posting-list index itself (a
+//     fresh Input nobody indexed before).
+//   - index-warm: the search runs over a pre-built index (the
 //     cached-Analyst serving case) — root nodes alias posting lists, so
 //     the search starts with zero setup scans.
-//   - bitmap-warm: the rank-space engine over the same pre-built index
-//     with bitmap counting forced — step-time re-materialization runs
-//     word-wise AND + popcount over the index's roaring-style bitmaps
-//     wherever every bound value has one.
 //
 // The light workload (high threshold, narrow k range) isolates the setup
-// scans the warm index deletes; the sweep workloads show the halved
-// partition traffic on deep lattices. All engines return byte-identical
-// results (TestQuickStrategyIndexMatchesLists), so only wall clock and
-// allocations differ.
+// the warm index deletes; the sweep workloads are dominated by the tree
+// walk. Both states return identical results, so only wall clock and
+// allocations differ. The forced slice/bitmap intersection arms are
+// benchmarked inside internal/core (BenchmarkBitmapPolicy).
 func BenchmarkIndexedSearch(b *testing.B) {
 	ctx := context.Background()
 	german := benchInput(b, "german", benchAttrs)
@@ -383,18 +376,14 @@ func BenchmarkIndexedSearch(b *testing.B) {
 	pp := core.PropParams{MinSize: 10, KMin: 10, KMax: 49, Alpha: 0.8}
 	lightParams := core.PropParams{MinSize: 200, KMin: 10, KMax: 12, Alpha: 0.8}
 	engines := []struct {
-		name     string
-		strategy core.Strategy
-		ix       *count.Index
+		name string
+		ix   *count.Index
 	}{
-		{"lists", core.StrategyLists, nil},
-		{"index-cold", core.StrategyIndex, nil},
-		{"index-warm", core.StrategyIndex, ix},
-		{"bitmap-warm", core.StrategyBitmap, ix},
+		{"index-cold", nil},
+		{"index-warm", ix},
 	}
 	for _, eng := range engines {
 		in := *german
-		in.Strategy = eng.strategy
 		in.Index = eng.ix
 		for _, w := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("global/%s/workers=%d", eng.name, w), func(b *testing.B) {
@@ -448,7 +437,7 @@ func BenchmarkExtensionParallelBaseline(b *testing.B) {
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.IterTDGlobalParallel(in, params, 0); err != nil {
+			if _, err := core.IterTDGlobalCtx(context.Background(), in, params, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -46,14 +46,10 @@ type Input struct {
 	Ranking []int
 	// Index is an optional pre-built rank index over (Rows, Space, Ranking).
 	// When attached — the Analyst threads its lazily built counting engine
-	// here — the rank-space search strategy starts with zero setup scans;
-	// the caller is responsible for the index actually describing this
-	// input (only the row count is validated).
+	// here — the lattice search starts with zero setup scans; when nil,
+	// every search builds its own. The caller is responsible for the index
+	// actually describing this input (only the row count is validated).
 	Index *count.Index
-	// Strategy selects the match-set engine of the lattice search; see the
-	// Strategy constants. The default StrategyAuto applies a cost model.
-	// Results are byte-identical across strategies.
-	Strategy Strategy
 	// DisableStats turns off the per-run SearchStats accounting: searches
 	// leave Result.Search nil and skip every counter increment. Groups and
 	// Stats are byte-identical either way (TestStatsInvariance guards
@@ -69,6 +65,9 @@ type Input struct {
 	// before sharing it across goroutines (the Analyst constructor does) —
 	// and callers must not mutate a validated input's rows or ranking.
 	validated bool
+	// bitmaps is the per-node intersection policy; only tests set it
+	// (export_test.go), to force one arm of the cost model.
+	bitmaps bitmapMode
 }
 
 // Validate checks structural consistency of the input. A successful

@@ -174,6 +174,99 @@ func TestQuickPropBoundsMatchesIterTDAndOracle(t *testing.T) {
 	}
 }
 
+// bitmapArmInput builds an input on which the default cost model routes
+// step-time intersections to bitmaps: 4096+ rows over three binary or
+// ternary attributes, so every posting list is longer than the cost
+// model's bitmap cut and carries a bitmap.
+func bitmapArmInput(rng *rand.Rand) *core.Input {
+	const nAttrs = 3
+	cards := make([]int, nAttrs)
+	names := make([]string, nAttrs)
+	for i := range cards {
+		cards[i] = 2 + rng.Intn(2) // 2..3
+		names[i] = string(rune('A' + i))
+	}
+	nRows := 4096 + rng.Intn(2048)
+	rows := make([][]int32, nRows)
+	for i := range rows {
+		r := make([]int32, nAttrs)
+		for j := range r {
+			r[j] = int32(rng.Intn(cards[j]))
+		}
+		rows[i] = r
+	}
+	return &core.Input{
+		Rows:    rows,
+		Space:   &pattern.Space{Names: names, Cards: cards},
+		Ranking: rng.Perm(nRows),
+	}
+}
+
+// TestQuickBitmapArmMatchesOracle checks GLOBALBOUNDS and PROPBOUNDS
+// against the paper's definitions on inputs large enough that the default
+// per-node policy — the one the daemon runs — takes bitmap passes. The
+// small-input oracle tests never reach the bitmap cut, so each case here
+// asserts that it did. The k ranges are long enough that frontier patterns
+// binding two or more attributes flip and resume (the step-time
+// intersections that can use bitmaps), and the global bounds rarely rise,
+// so most flips happen in steps rather than full rebuilds.
+func TestQuickBitmapArmMatchesOracle(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		in := bitmapArmInput(rng)
+		nf := float64(len(in.Rows))
+		kMin := 1 + rng.Intn(5)
+		kMax := kMin + 60 + rng.Intn(40)
+		minSize := 1 + rng.Intn(50)
+		lower := make([]int, kMax-kMin+1)
+		l := 1 + rng.Intn(3)
+		for i := range lower {
+			if rng.Intn(16) == 0 {
+				l += 1 + rng.Intn(3)
+			}
+			lower[i] = l
+		}
+		alpha := 0.6 + 0.6*rng.Float64()
+		gp := core.GlobalParams{MinSize: minSize, KMin: kMin, KMax: kMax, Lower: lower}
+		pp := core.PropParams{MinSize: minSize, KMin: kMin, KMax: kMax, Alpha: alpha}
+		glob, err := core.GlobalBounds(in, gp)
+		if err != nil {
+			t.Logf("GlobalBounds: %v", err)
+			return false
+		}
+		prop, err := core.PropBounds(in, pp)
+		if err != nil {
+			t.Logf("PropBounds: %v", err)
+			return false
+		}
+		if glob.Search.BitmapPasses == 0 || prop.Search.BitmapPasses == 0 {
+			t.Logf("seed %d: bitmap arm not exercised (GlobalBounds %d passes, PropBounds %d)",
+				seed, glob.Search.BitmapPasses, prop.Search.BitmapPasses)
+			return false
+		}
+		for k := kMin; k <= kMax; k++ {
+			lk := lower[k-kMin]
+			want := oracleBiased(in, minSize, k, func(sD, cnt int) bool { return cnt < lk })
+			if !sameGroups(glob.At(k), want) {
+				t.Logf("seed %d k=%d: GlobalBounds %v != oracle %v (L=%d τs=%d)", seed, k, glob.At(k), want, lk, minSize)
+				return false
+			}
+			kf := float64(k)
+			want = oracleBiased(in, minSize, k, func(sD, cnt int) bool {
+				return float64(cnt) < alpha*float64(sD)*kf/nf
+			})
+			if !sameGroups(prop.At(k), want) {
+				t.Logf("seed %d k=%d: PropBounds %v != oracle %v (α=%v τs=%d)", seed, k, prop.At(k), want, alpha, minSize)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 6, Rand: rand.New(rand.NewSource(43))}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestQuickUpperGlobalMatchesOracle(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

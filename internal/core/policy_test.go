@@ -12,10 +12,10 @@ import (
 	"rankfair/internal/pattern"
 )
 
-// strategyInput builds a random dataset + ranking, mirroring the
+// policyInput builds a random dataset + ranking, mirroring the
 // equivalence-suite generator but available inside the package so the
-// strategy tests can force engines and reuse the cancellation harness.
-func strategyInput(rng *rand.Rand) *Input {
+// policy tests can reuse the cancellation harness.
+func policyInput(rng *rand.Rand) *Input {
 	nAttrs := 2 + rng.Intn(4) // 2..5
 	cards := make([]int, nAttrs)
 	names := make([]string, nAttrs)
@@ -39,10 +39,10 @@ func strategyInput(rng *rand.Rand) *Input {
 	}
 }
 
-// strategyEntryPoints drives every detection entry point over one input
-// with randomized parameters, so the two match-set engines can be compared
+// policyEntryPoints drives every detection entry point over one input
+// with randomized parameters, so intersection policies can be compared
 // wholesale.
-func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.Context, workers int) (*Result, error) {
+func policyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.Context, workers int) (*Result, error) {
 	n := len(in.Rows)
 	kMin := 1 + rng.Intn(5)
 	kMax := kMin + rng.Intn(15)
@@ -96,48 +96,43 @@ func strategyEntryPoints(in *Input, rng *rand.Rand) map[string]func(ctx context.
 	}
 }
 
-// withStrategy returns a shallow copy of in forced onto one engine. The
-// rank-space copy alternates between building its own index and reusing a
-// pre-built one, covering both the cold and warm entry conditions.
-func withStrategy(in *Input, s Strategy, ix *count.Index) *Input {
-	cp := *in
-	cp.Strategy = s
-	cp.Index = ix
-	return &cp
-}
-
-// TestQuickStrategyIndexMatchesLists is the tentpole differential: for
-// every entry point, the rank-space engine (cold and warm index, serial
-// and fanned out) returns Groups and Stats byte-identical to the
-// materialized-list engine.
-func TestQuickStrategyIndexMatchesLists(t *testing.T) {
+// TestQuickBitmapPoliciesAgree is the engine differential: for every
+// entry point, forced slice walks, forced bitmaps and the default per-node
+// cost model — each over a cold (search-built) and a warm (pre-built)
+// index, serial and fanned out — return identical Groups and Stats. These
+// inputs stay below the cost model's bitmap cut, so the default policy
+// walks slices here; TestQuickBitmapArmMatchesOracle covers its bitmap arm.
+func TestQuickBitmapPoliciesAgree(t *testing.T) {
 	ctx := context.Background()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		base := strategyInput(rng)
+		base := policyInput(rng)
 		prebuilt := count.Build(base.Rows, base.Space, base.Ranking)
 		variants := []struct {
 			name string
 			in   *Input
 		}{
-			{"index-cold", withStrategy(base, StrategyIndex, nil)},
-			{"index-warm", withStrategy(base, StrategyIndex, prebuilt)},
-			{"auto-warm", withStrategy(base, StrategyAuto, prebuilt)},
-			{"bitmap-cold", withStrategy(base, StrategyBitmap, nil)},
-			{"bitmap-warm", withStrategy(base, StrategyBitmap, prebuilt)},
+			{"slice-cold", WithBitmapPolicy(base, BitmapOff, nil)},
+			{"slice-warm", WithBitmapPolicy(base, BitmapOff, prebuilt)},
+			{"auto-cold", WithBitmapPolicy(base, BitmapAuto, nil)},
+			{"auto-warm", WithBitmapPolicy(base, BitmapAuto, prebuilt)},
+			{"bitmap-cold", WithBitmapPolicy(base, BitmapForce, nil)},
+			{"bitmap-warm", WithBitmapPolicy(base, BitmapForce, prebuilt)},
 		}
-		// One parameter draw shared by the lists run and every variant.
-		prng := rand.New(rand.NewSource(seed + 1))
-		lists := strategyEntryPoints(withStrategy(base, StrategyLists, nil), prng)
+		// One parameter draw shared by the reference run and every variant.
+		wants := map[string]*Result{}
+		for name, run := range policyEntryPoints(variants[0].in, rand.New(rand.NewSource(seed+1))) {
+			want, err := run(ctx, 1)
+			if err != nil {
+				t.Logf("seed %d %s slice-cold: %v", seed, name, err)
+				return false
+			}
+			wants[name] = want
+		}
 		for _, vr := range variants {
-			vrng := rand.New(rand.NewSource(seed + 1))
-			runs := strategyEntryPoints(vr.in, vrng)
+			runs := policyEntryPoints(vr.in, rand.New(rand.NewSource(seed+1)))
 			for name, run := range runs {
-				want, err := lists[name](ctx, 1)
-				if err != nil {
-					t.Logf("seed %d %s lists: %v", seed, name, err)
-					return false
-				}
+				want := wants[name]
 				for _, workers := range []int{1, 3} {
 					got, err := run(ctx, workers)
 					if err != nil {
@@ -145,11 +140,11 @@ func TestQuickStrategyIndexMatchesLists(t *testing.T) {
 						return false
 					}
 					if !reflect.DeepEqual(want.Groups, got.Groups) {
-						t.Logf("seed %d %s %s workers=%d: groups diverge from lists engine", seed, name, vr.name, workers)
+						t.Logf("seed %d %s %s workers=%d: groups diverge from slice-cold", seed, name, vr.name, workers)
 						return false
 					}
 					if want.Stats != got.Stats {
-						t.Logf("seed %d %s %s workers=%d: stats diverge: lists %+v index %+v",
+						t.Logf("seed %d %s %s workers=%d: stats diverge: slice-cold %+v, got %+v",
 							seed, name, vr.name, workers, want.Stats, got.Stats)
 						return false
 					}
@@ -163,71 +158,41 @@ func TestQuickStrategyIndexMatchesLists(t *testing.T) {
 	}
 }
 
-// TestStrategyCanceledRunsAgree drives both engines into the same
-// deterministic cancellation (a poll-budget context, serial workers) and
-// asserts they abandon the search at the same point: both report a
+// TestStrategyCanceledRunsAgree drives every intersection policy into the
+// same deterministic cancellation (a poll-budget context, serial workers)
+// and asserts they abandon the search at the same point: each reports a
 // CanceledError carrying the same partial-work count.
 func TestStrategyCanceledRunsAgree(t *testing.T) {
 	base := denseCancelInput(12, 1500)
-	listsIn := withStrategy(base, StrategyLists, nil)
-	indexIn := withStrategy(base, StrategyIndex, nil)
-	bitmapIn := withStrategy(base, StrategyBitmap, nil)
-	listsRuns := strategyEntryPoints(listsIn, rand.New(rand.NewSource(31)))
-	bitmapRuns := strategyEntryPoints(bitmapIn, rand.New(rand.NewSource(31)))
-	for name, indexRun := range strategyEntryPoints(indexIn, rand.New(rand.NewSource(31))) {
-		listsRun := listsRuns[name]
-		bitmapRun := bitmapRuns[name]
+	policies := []struct {
+		name string
+		bm   BitmapPolicy
+	}{{"slice", BitmapOff}, {"auto", BitmapAuto}, {"bitmap", BitmapForce}}
+	runs := make([]map[string]func(ctx context.Context, workers int) (*Result, error), len(policies))
+	for i, pol := range policies {
+		runs[i] = policyEntryPoints(WithBitmapPolicy(base, pol.bm, nil), rand.New(rand.NewSource(31)))
+	}
+	for name := range runs[0] {
 		for _, budget := range []int64{1, 5} {
-			lres, lerr := listsRun(newBudgetCtx(budget), 1)
-			ires, ierr := indexRun(newBudgetCtx(budget), 1)
-			bres, berr := bitmapRun(newBudgetCtx(budget), 1)
-			if lres != nil || ires != nil || bres != nil {
-				t.Errorf("%s budget=%d: canceled run returned a result (lists=%v index=%v bitmap=%v)",
-					name, budget, lres != nil, ires != nil, bres != nil)
-				continue
+			var examined []int64
+			for i, pol := range policies {
+				res, err := runs[i][name](newBudgetCtx(budget), 1)
+				var ce *CanceledError
+				if res != nil || !errors.As(err, &ce) {
+					t.Errorf("%s budget=%d %s: want a CanceledError and no result, got result=%v err=%v",
+						name, budget, pol.name, res != nil, err)
+					examined = nil
+					break
+				}
+				examined = append(examined, ce.NodesExamined)
 			}
-			var lc, ic, bc *CanceledError
-			if !errors.As(lerr, &lc) || !errors.As(ierr, &ic) || !errors.As(berr, &bc) {
-				t.Errorf("%s budget=%d: want CanceledError on every engine, got lists=%v index=%v bitmap=%v",
-					name, budget, lerr, ierr, berr)
-				continue
-			}
-			if lc.NodesExamined != ic.NodesExamined || lc.NodesExamined != bc.NodesExamined {
-				t.Errorf("%s budget=%d: partial work diverges: lists examined %d nodes, index %d, bitmap %d",
-					name, budget, lc.NodesExamined, ic.NodesExamined, bc.NodesExamined)
+			for i := 1; i < len(examined); i++ {
+				if examined[i] != examined[0] {
+					t.Errorf("%s budget=%d: partial work diverges: %s examined %d nodes, %s %d",
+						name, budget, policies[0].name, examined[0], policies[i].name, examined[i])
+				}
 			}
 		}
-	}
-}
-
-// TestAutoStrategyCostModel pins the cost model's contract: tiny inputs
-// stay on the lists engine, an attached index always selects rank space,
-// and the explicit knobs override everything.
-func TestAutoStrategyCostModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	tiny := strategyInput(rng)
-	if tiny.useIndex() {
-		t.Errorf("auto strategy picked the index engine for %d rows", len(tiny.Rows))
-	}
-	warm := withStrategy(tiny, StrategyAuto, count.Build(tiny.Rows, tiny.Space, tiny.Ranking))
-	if !warm.useIndex() {
-		t.Error("auto strategy ignored a pre-built index")
-	}
-	big := denseCancelInput(8, 4096)
-	if !big.useIndex() {
-		t.Errorf("auto strategy picked the lists engine for %d rows x %d attrs", len(big.Rows), big.Space.NumAttrs())
-	}
-	forced := withStrategy(tiny, StrategyIndex, nil)
-	if !forced.useIndex() {
-		t.Error("StrategyIndex not honored")
-	}
-	forcedLists := withStrategy(big, StrategyLists, nil)
-	if forcedLists.useIndex() {
-		t.Error("StrategyLists not honored")
-	}
-	forcedBitmap := withStrategy(tiny, StrategyBitmap, nil)
-	if !forcedBitmap.useIndex() {
-		t.Error("StrategyBitmap not honored")
 	}
 }
 
@@ -235,8 +200,8 @@ func TestAutoStrategyCostModel(t *testing.T) {
 // input performs on an attached index.
 func TestValidateRejectsMismatchedIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	in := strategyInput(rng)
-	other := strategyInput(rng)
+	in := policyInput(rng)
+	other := policyInput(rng)
 	if len(other.Rows) == len(in.Rows) {
 		other.Rows = other.Rows[:len(other.Rows)-1]
 		other.Ranking = nil // irrelevant: row-count check fires first

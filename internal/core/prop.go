@@ -189,13 +189,13 @@ func (s *propState) merge(sk *psink) {
 // fullBuild runs the complete top-down search at kMin, materializing the
 // explored tree, the biased frontier, and the schedule K. The root's
 // subtrees build independently on the worker pool; sink merge order is the
-// subtree order, matching the serial traversal. On the rank-space engine
-// the root units alias the counting index's posting lists (zero setup
-// scans on a warm index). It reports false when the build was abandoned
-// because the context was canceled.
+// subtree order, matching the serial traversal. The root units alias the
+// counting index's posting lists (zero setup scans on a warm index). It
+// reports false when the build was abandoned because the context was
+// canceled.
 func (s *propState) fullBuild(k int) bool {
 	s.stats.FullSearches++
-	units := s.eng.rootUnits(k)
+	units := s.eng.rootUnits()
 	sinks := make([]psink, len(units))
 	children := make([]*pnode, len(units))
 	fanOut(s.workers, len(units), func(i int) {
@@ -208,7 +208,7 @@ func (s *propState) fullBuild(k int) bool {
 			sk.sr.ss = &sk.search
 		}
 		sk.stats.NodesExamined++
-		sD := len(u.m.all)
+		sD := len(u.m)
 		if sD < s.pr.MinSize {
 			sk.sr.ss.prunedSize()
 			return
@@ -353,8 +353,8 @@ func (s *propState) step(k int) bool {
 	// Phase 3: resume the search below frontier nodes that became unbiased
 	// and had no explored children yet. Those subtrees are disjoint, so
 	// they expand on the worker pool, one sink each; the node's match set
-	// is re-materialized (a posting-list intersection on the rank-space
-	// engine) rather than re-scanned.
+	// is re-materialized by a posting-list intersection rather than
+	// re-scanned.
 	var resumed []*pnode
 	for _, nd := range freed {
 		if !nd.expanded {
@@ -374,7 +374,7 @@ func (s *propState) step(k int) bool {
 			sk.sr.ss = &sk.search
 		}
 		mk := sk.sr.mark()
-		m := sk.sr.materialize(nd.p, k)
+		m := sk.sr.materialize(nd.p)
 		s.expandWithInto(nd, m, k, sk)
 		sk.sr.release(mk)
 	})

@@ -74,7 +74,7 @@ func IterTDGlobalLowerMostSpecificCtx(ctx context.Context, in *Input, params Glo
 		substantial := make(map[string]bool)
 		var below []Pattern
 		st.FullSearches++
-		q := eng.newBFS(k)
+		q := eng.newBFS()
 		defer q.close()
 		for q.more() {
 			if cn.stopped() {
@@ -82,7 +82,7 @@ func IterTDGlobalLowerMostSpecificCtx(ctx context.Context, in *Input, params Glo
 			}
 			u := q.pop()
 			st.NodesExamined++
-			if len(u.m.all) < params.MinSize {
+			if len(u.m) < params.MinSize {
 				ss.prunedSize()
 				continue
 			}

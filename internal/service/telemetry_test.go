@@ -189,6 +189,9 @@ func TestWideEventAuditLog(t *testing.T) {
 	}
 	awaitReport(t, ts, view.ID)
 	awaitReport(t, ts, submitAudit(t, ts, info.ID, params).ID) // cache hit
+	// The record is written after the job turns terminal (afterTerminal),
+	// so a served report does not imply a written record yet.
+	waitFor(t, func() bool { return strings.Count(sink.String(), "\n") >= 2 })
 
 	var events []map[string]any
 	for _, line := range strings.Split(strings.TrimSpace(sink.String()), "\n") {

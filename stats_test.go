@@ -7,21 +7,19 @@ import (
 	"testing"
 
 	"rankfair"
-	"rankfair/internal/core"
 	"rankfair/internal/synth"
 )
 
-// statsAnalyst builds a facade analyst over the first 8 student
-// attributes (full 33-attribute lattices are benchmark territory) with
-// its own input, so strategy and stats toggles never leak across the
-// instrumented/disabled pair.
-func statsAnalyst(t *testing.T, b *synth.Bundle, strat core.Strategy) *rankfair.Analyst {
+// statsAnalyst builds a facade analyst over the bundle's first attrs
+// attributes (full-width lattices are benchmark territory) with its own
+// input, so stats toggles never leak across the instrumented/disabled
+// pair.
+func statsAnalyst(t *testing.T, b *synth.Bundle, attrs int) *rankfair.Analyst {
 	t.Helper()
-	in, err := b.InputAttrs(8)
+	in, err := b.InputAttrs(attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in.Strategy = strat
 	a, err := rankfair.NewFromInput(in, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -47,28 +45,40 @@ func statsCases(kMin, kMax int) []rankfair.AuditParams {
 	}
 }
 
+// statsArm is one input of the stats tests together with its audits.
+type statsArm struct {
+	name    string
+	bundle  *synth.Bundle
+	attrs   int
+	params  []rankfair.AuditParams
+	bitmaps bool // the incremental searches take bitmap passes
+}
+
+// statsArms drives the engine through each intersection arm of its
+// per-node cost model: every student posting list sits below the bitmap
+// cut, so all intersections are galloping walks over the index's posting
+// lists ("index"); the german input is large and coarse enough that the
+// incremental searches also take bitmap passes ("bitmap").
+func statsArms() []statsArm {
+	return []statsArm{
+		{"index", synth.Students(260, 7), 8, statsCases(5, 15), false},
+		{"bitmap", synth.GermanCredit(4096, 5), 4, statsCases(10, 200), true},
+	}
+}
+
 // TestStatsInvariance is the observability layer's no-interference
 // contract: collecting search statistics must not change what an audit
-// reports. For every measure, both counting strategies, and serial vs
+// reports. For every measure, both intersection arms, and serial vs
 // parallel fan-out, the audit JSON of an instrumented run minus its
 // "stats" key is byte-identical to a run with stats disabled.
 func TestStatsInvariance(t *testing.T) {
-	b := synth.Students(260, 7)
-	strategies := []struct {
-		name string
-		s    core.Strategy
-	}{
-		{"lists", core.StrategyLists},
-		{"index", core.StrategyIndex},
-		{"bitmap", core.StrategyBitmap},
-	}
-	for _, strat := range strategies {
+	for _, arm := range statsArms() {
 		for _, workers := range []int{1, 4} {
-			for _, params := range statsCases(5, 15) {
+			for _, params := range arm.params {
 				params.Workers = workers
-				t.Run(fmt.Sprintf("%s/%s/w%d", params.Measure, strat.name, workers), func(t *testing.T) {
-					on := statsAnalyst(t, b, strat.s)
-					off := statsAnalyst(t, b, strat.s)
+				t.Run(fmt.Sprintf("%s/%s/w%d", params.Measure, arm.name, workers), func(t *testing.T) {
+					on := statsAnalyst(t, arm.bundle, arm.attrs)
+					off := statsAnalyst(t, arm.bundle, arm.attrs)
 					off.SetSearchStats(false)
 
 					repOn, err := on.Detect(params)
@@ -82,8 +92,17 @@ func TestStatsInvariance(t *testing.T) {
 					if repOn.Search == nil {
 						t.Fatal("instrumented run carries no SearchStats")
 					}
-					if repOn.Search.Strategy != strat.name {
-						t.Errorf("stats strategy = %q, want %q", repOn.Search.Strategy, strat.name)
+					if repOn.Search.Strategy != "index" {
+						t.Errorf("stats strategy = %q, want %q", repOn.Search.Strategy, "index")
+					}
+					// The per-k baselines (upper measures) never intersect;
+					// the incremental searches must take the arm's passes.
+					incremental := params.Measure != rankfair.MeasureGlobalUpper && params.Measure != rankfair.MeasurePropUpper
+					if arm.bitmaps && incremental && repOn.Search.BitmapPasses == 0 {
+						t.Error("bitmap arm took no bitmap pass")
+					}
+					if !arm.bitmaps && repOn.Search.BitmapPasses != 0 {
+						t.Errorf("index arm took %d bitmap passes", repOn.Search.BitmapPasses)
 					}
 					if repOn.Search.Workers != workers {
 						t.Errorf("stats workers = %d, want %d", repOn.Search.Workers, workers)
@@ -171,7 +190,7 @@ func TestStatsWorkerIndependence(t *testing.T) {
 	b := synth.Students(260, 7)
 	var first []byte
 	for _, workers := range []int{1, 2, 8} {
-		a := statsAnalyst(t, b, core.StrategyAuto)
+		a := statsAnalyst(t, b, 8)
 		rep, err := a.Detect(rankfair.AuditParams{
 			Measure: rankfair.MeasureProp, MinSize: 8, KMin: 5, KMax: 15, Alpha: 0.8, Workers: workers,
 		})

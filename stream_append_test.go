@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"rankfair"
-	"rankfair/internal/core"
 	"rankfair/internal/synth"
 )
 
@@ -54,55 +53,45 @@ func streamAuditParams(kMin, kMax int) []rankfair.AuditParams {
 
 // TestAppendDifferential is the tentpole guarantee of the streaming
 // subsystem: append-then-audit must be byte-identical to
-// fresh-upload-then-audit for every measure, on both match-set engines,
-// serial and parallel.
+// fresh-upload-then-audit for every measure, serial and parallel, on each
+// intersection arm of the engine's cost model. The "index" arm (440 rows)
+// stays below the bitmap cut; the "bitmap" arm (4400 rows over four
+// attributes) is large enough that the searches also intersect the
+// incrementally extended bitmaps, which must agree with freshly built ones.
 func TestAppendDifferential(t *testing.T) {
-	bundle := synth.GermanCredit(440, 17)
-	baseCSV, fullCSV, batch := splitCSV(t, bundle.Table, 400)
-	base, err := rankfair.ReadCSV(strings.NewReader(baseCSV), rankfair.CSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := rankfair.ReadCSV(strings.NewReader(fullCSV), rankfair.CSVOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appended, err := base.AppendRows(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	ranker := &rankfair.ByColumns{Keys: []rankfair.ColumnKey{{Column: "credit_score", Descending: true}}}
-	baseAnalyst, err := rankfair.New(base, ranker)
-	if err != nil {
-		t.Fatal(err)
+	arms := []struct {
+		name    string
+		rows    int
+		base    int
+		columns []string // nil keeps every column
+		bitmaps bool
+	}{
+		{"index", 440, 400, nil, false},
+		{"bitmap", 4400, 4000, []string{"status_checking", "duration", "credit_history", "purpose", "credit_score"}, true},
 	}
-	baseAnalyst.Warm()
-	appAnalyst, err := baseAnalyst.Append(appended, ranker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freshAnalyst, err := rankfair.New(full, ranker)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	strategies := []struct {
-		name string
-		s    core.Strategy
-	}{{"lists", core.StrategyLists}, {"index", core.StrategyIndex}, {"bitmap", core.StrategyBitmap}}
-	for _, strat := range strategies {
+	for _, arm := range arms {
+		table := synth.GermanCredit(arm.rows, 17).Table
+		if arm.columns != nil {
+			var err error
+			if table, err = table.Project(arm.columns...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		appAnalyst, freshAnalyst := appendAndFresh(t, table, arm.base, ranker)
 		for _, workers := range []int{1, 4} {
 			for _, params := range streamAuditParams(10, 49) {
 				params.Workers = workers
-				name := fmt.Sprintf("%s/%s/workers=%d", params.Measure, strat.name, workers)
+				name := fmt.Sprintf("%s/%s/workers=%d", params.Measure, arm.name, workers)
 				t.Run(name, func(t *testing.T) {
-					appAnalyst.Input().Strategy = strat.s
-					freshAnalyst.Input().Strategy = strat.s
-					got := detectJSON(t, appAnalyst, params)
-					want := detectJSON(t, freshAnalyst, params)
+					got, gotBitmaps := detectJSONPasses(t, appAnalyst, params)
+					want, _ := detectJSONPasses(t, freshAnalyst, params)
 					if got != want {
 						t.Fatalf("append-then-audit diverges from fresh-upload-then-audit\nappend: %.400s\nfresh:  %.400s", got, want)
+					}
+					incremental := params.Measure != rankfair.MeasureGlobalUpper && params.Measure != rankfair.MeasurePropUpper
+					if arm.bitmaps && incremental && gotBitmaps == 0 {
+						t.Error("bitmap arm took no bitmap pass")
 					}
 				})
 			}
@@ -110,8 +99,41 @@ func TestAppendDifferential(t *testing.T) {
 	}
 }
 
-// detectJSON runs one audit and serializes the report.
-func detectJSON(t testing.TB, a *rankfair.Analyst, params rankfair.AuditParams) string {
+// appendAndFresh builds the two analysts the append differential compares
+// over table: one warm on the first base rows and extended by appending
+// the rest, and one built fresh over the whole table from its CSV.
+func appendAndFresh(t *testing.T, table *rankfair.Dataset, base int, ranker rankfair.Ranker) (appended, fresh *rankfair.Analyst) {
+	t.Helper()
+	baseCSV, fullCSV, batch := splitCSV(t, table, base)
+	baseTable, err := rankfair.ReadCSV(strings.NewReader(baseCSV), rankfair.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := rankfair.ReadCSV(strings.NewReader(fullCSV), rankfair.CSVOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extended, err := baseTable.AppendRows(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseAnalyst, err := rankfair.New(baseTable, ranker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseAnalyst.Warm()
+	if appended, err = baseAnalyst.Append(extended, ranker); err != nil {
+		t.Fatal(err)
+	}
+	if fresh, err = rankfair.New(full, ranker); err != nil {
+		t.Fatal(err)
+	}
+	return appended, fresh
+}
+
+// detectJSONPasses runs one audit and returns the serialized report and
+// the search's bitmap pass count.
+func detectJSONPasses(t testing.TB, a *rankfair.Analyst, params rankfair.AuditParams) (string, int64) {
 	t.Helper()
 	report, err := a.Detect(params)
 	if err != nil {
@@ -121,7 +143,14 @@ func detectJSON(t testing.TB, a *rankfair.Analyst, params rankfair.AuditParams) 
 	if err := report.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return buf.String(), report.Search.BitmapPasses
+}
+
+// detectJSON runs one audit and serializes the report.
+func detectJSON(t testing.TB, a *rankfair.Analyst, params rankfair.AuditParams) string {
+	t.Helper()
+	out, _ := detectJSONPasses(t, a, params)
+	return out
 }
 
 // TestAppendFallbackRankers: rankers without incremental support must take
